@@ -8,7 +8,7 @@
 //!    workers (delays, short reads/writes, byte corruption, hard
 //!    disconnects on every connection) must merge a `GroundTruth`
 //!    **byte-identical** to a serial single-process run.
-//! 2. **Serve soak** — chaos-wrapped [`ResilientClient`]s hammering a
+//! 2. **Serve soak** — chaos-wrapped retrying [`Client`]s hammering a
 //!    model server must receive replies **bit-identical** to serial
 //!    inference; corrupted frames are caught by checksums and retried,
 //!    never silently served.
@@ -33,7 +33,7 @@ use glaive_cdfg::{Cdfg, CdfgConfig, FEATURE_DIM};
 use glaive_faultsim::{Campaign, CampaignConfig, RunControl};
 use glaive_gnn::{GraphSage, SageConfig};
 use glaive_nn::Matrix;
-use glaive_serve::{ClientReport, ProgramSpec, ResilientClient, Server, ServerConfig};
+use glaive_serve::{Client, ClientReport, ProgramSpec, Server, ServerConfig};
 use glaive_wire::{ChaosConfig, ChaosPlan, ChaosReport, RetryPolicy};
 
 /// Default master seed; any failure replays exactly under it.
@@ -207,9 +207,8 @@ fn serve_soak(args: &Args) -> ServeSoak {
                 let reference = &reference;
                 let name = bench.name;
                 scope.spawn(move || {
-                    let mut client =
-                        ResilientClient::new(addr.to_string(), RetryPolicy::patient(PATIENCE))
-                            .with_chaos(plan, (i as u64) << 32);
+                    let mut client = Client::new(addr.to_string(), RetryPolicy::patient(PATIENCE))
+                        .with_chaos(plan, (i as u64) << 32);
                     let mut identical = true;
                     for _ in 0..args.requests {
                         let spec = ProgramSpec::Suite {
@@ -217,7 +216,7 @@ fn serve_soak(args: &Args) -> ServeSoak {
                             seed: EXPERIMENT_SEED,
                         };
                         let reply = client
-                            .predict(&spec, stride as u32, 10, true)
+                            .predict(spec, stride as u32, 10, true)
                             .expect("resilient predict survives chaos");
                         let bits = reply.bit_probs.as_deref().unwrap_or_default();
                         identical &= bits.len() == reference.rows()
@@ -244,7 +243,7 @@ fn serve_soak(args: &Args) -> ServeSoak {
     });
 
     // Plain (un-chaosed) control connection for the shutdown.
-    let mut control = glaive_serve::Client::connect(addr).expect("connect for shutdown");
+    let mut control = Client::connect(addr).expect("connect for shutdown");
     control.shutdown_server().expect("shutdown");
     handle.join().expect("server run");
 

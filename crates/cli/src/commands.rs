@@ -14,7 +14,7 @@ use glaive_faultsim::{
     Campaign, CampaignConfig, CampaignProgress, CheckpointSink, NoProgress, RunControl, VulnTuple,
 };
 use glaive_gnn::GraphSage;
-use glaive_serve::{Client, ProgramSpec, ResilientClient, Server, ServerConfig};
+use glaive_serve::{Client, ProgramSpec, Server, ServerConfig};
 use glaive_sim::run;
 use glaive_wire::{ChaosConfig, ChaosPlan, RetryPolicy};
 
@@ -713,30 +713,41 @@ fn cmd_query(addr: &str, name: Option<&str>, flags: &Flags) -> CliResult {
         println!("server draining");
         return Ok(());
     }
-    let mut client = ResilientClient::new(addr, retry_from_flags(flags));
-    let chaos = chaos_from_env();
-    if let Some(plan) = &chaos {
-        client = client.with_chaos(plan.clone(), u64::from(std::process::id()) << 32);
-    }
-    let outcome = cmd_query_resilient(&mut client, name, flags);
-    let report = client.report();
-    if report.retries > 0 {
-        eprintln!(
-            "query survived {} transient failures ({} reconnects, {} busy replies)",
-            report.retries, report.reconnects, report.busy_responses
-        );
-    }
-    if let Some(plan) = &chaos {
-        print_chaos_report(plan);
-    }
+    let (mut client, chaos) = retrying_client(addr, flags);
+    let outcome = cmd_query_with(&mut client, name, flags);
+    print_survival("query", &client, chaos.as_ref());
     outcome
 }
 
-fn cmd_query_resilient(
-    client: &mut ResilientClient,
-    name: Option<&str>,
-    flags: &Flags,
-) -> CliResult {
+/// A client for `addr` that retries under `--patience` and, when the
+/// chaos environment is set, wraps every connection in its plan.
+fn retrying_client(addr: &str, flags: &Flags) -> (Client, Option<ChaosPlan>) {
+    let client = Client::new(addr, retry_from_flags(flags));
+    match chaos_from_env() {
+        Some(plan) => (
+            client.with_chaos(plan.clone(), u64::from(std::process::id()) << 32),
+            Some(plan),
+        ),
+        None => (client, None),
+    }
+}
+
+/// Reports on stderr what a retrying client survived, and the faults the
+/// chaos plan injected.
+fn print_survival(what: &str, client: &Client, chaos: Option<&ChaosPlan>) {
+    let report = client.report();
+    if report.retries > 0 {
+        eprintln!(
+            "{what} survived {} transient failures ({} reconnects, {} busy replies)",
+            report.retries, report.reconnects, report.busy_responses
+        );
+    }
+    if let Some(plan) = chaos {
+        print_chaos_report(plan);
+    }
+}
+
+fn cmd_query_with(client: &mut Client, name: Option<&str>, flags: &Flags) -> CliResult {
     if flags.ping {
         client.ping()?;
         println!("pong");
@@ -760,7 +771,7 @@ fn cmd_query_resilient(
     // Resolve locally too, so the reply's PCs render as instructions.
     let b = find_benchmark(name, flags.seed)?;
     let reply = client.predict(
-        &ProgramSpec::Suite {
+        ProgramSpec::Suite {
             name: name.to_string(),
             seed: flags.seed,
         },
@@ -796,29 +807,17 @@ fn cmd_query_resilient(
 fn cmd_budget(addr: &str, name: &str, flags: &Flags) -> CliResult {
     // Resolve locally too, so the reply's PCs render as instructions.
     let b = find_benchmark(name, flags.seed)?;
-    let mut client = ResilientClient::new(addr, retry_from_flags(flags));
-    let chaos = chaos_from_env();
-    if let Some(plan) = &chaos {
-        client = client.with_chaos(plan.clone(), u64::from(std::process::id()) << 32);
-    }
+    let (mut client, chaos) = retrying_client(addr, flags);
     let reply = client.budget(
-        &ProgramSpec::Suite {
+        ProgramSpec::Suite {
             name: name.to_string(),
             seed: flags.seed,
         },
         flags.stride as u32,
         flags.overhead_pct,
-    )?;
-    let report = client.report();
-    if report.retries > 0 {
-        eprintln!(
-            "budget survived {} transient failures ({} reconnects, {} busy replies)",
-            report.retries, report.reconnects, report.busy_responses
-        );
-    }
-    if let Some(plan) = &chaos {
-        print_chaos_report(plan);
-    }
+    );
+    print_survival("budget", &client, chaos.as_ref());
+    let reply = reply?;
     println!(
         "{name}: protect {} instructions within {}% overhead \
          ({} of {} budget cycles spent, golden run {} cycles)",

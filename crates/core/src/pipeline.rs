@@ -556,12 +556,7 @@ fn prepare_one_attempt(
     current_stage.set(Stage::GraphBuild);
     observer.stage_started(Stage::GraphBuild, name);
     let t0 = Instant::now();
-    let data = assemble_bench_data(
-        bench,
-        config.effective_graph_stride(),
-        config.timing_features,
-        truth,
-    );
+    let data = assemble_bench_data(bench, config.effective_graph_stride(), truth);
     observer.stage_finished(
         Stage::GraphBuild,
         name,

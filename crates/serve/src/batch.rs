@@ -11,7 +11,6 @@
 //! sequences — they would see alone.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 
 use glaive_gnn::GraphSage;
@@ -24,7 +23,7 @@ use crate::cache::PreparedProgram;
 /// drains everything pending in one go (that drain *is* the coalescing
 /// policy — whatever arrived since the last forward pass forms the next
 /// batch).
-pub struct JobQueue<T> {
+pub(crate) struct JobQueue<T> {
     state: Mutex<QueueState<T>>,
     cv: Condvar,
 }
@@ -36,7 +35,7 @@ struct QueueState<T> {
 
 impl<T> JobQueue<T> {
     /// An empty, open queue.
-    pub fn new() -> JobQueue<T> {
+    pub(crate) fn new() -> JobQueue<T> {
         JobQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -48,7 +47,7 @@ impl<T> JobQueue<T> {
 
     /// Enqueues one item. Returns `false` (dropping the item) if the queue
     /// is already closed.
-    pub fn push(&self, item: T) -> bool {
+    pub(crate) fn push(&self, item: T) -> bool {
         let mut state = self.state.lock().expect("job queue lock");
         if state.closed {
             return false;
@@ -60,7 +59,7 @@ impl<T> JobQueue<T> {
 
     /// Blocks until at least one item is available, then drains *all*
     /// pending items. Returns `None` once the queue is closed and empty.
-    pub fn drain_wait(&self) -> Option<Vec<T>> {
+    pub(crate) fn drain_wait(&self) -> Option<Vec<T>> {
         let mut state = self.state.lock().expect("job queue lock");
         loop {
             if !state.items.is_empty() {
@@ -74,7 +73,7 @@ impl<T> JobQueue<T> {
     }
 
     /// Blocks for a single item. Returns `None` once closed and empty.
-    pub fn pop_wait(&self) -> Option<T> {
+    pub(crate) fn pop_wait(&self) -> Option<T> {
         let mut state = self.state.lock().expect("job queue lock");
         loop {
             if let Some(item) = state.items.pop_front() {
@@ -89,17 +88,16 @@ impl<T> JobQueue<T> {
 
     /// Closes the queue: pushes start failing, and blocked consumers wake
     /// with `None` once the backlog drains.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.state.lock().expect("job queue lock").closed = true;
         self.cv.notify_all();
     }
 
     /// Closes the queue *and* discards its backlog, returning the dropped
-    /// items. For abnormal consumer exits: dropping a queued
-    /// [`InferenceJob`] drops its reply `Sender`, so producers blocked on
-    /// the matching receiver wake with a disconnect error instead of
-    /// waiting for a batch that will never run.
-    pub fn close_and_drain(&self) -> Vec<T> {
+    /// items. For abnormal consumer exits: the caller answers each
+    /// returned job (the server with a typed error), so no producer waits
+    /// for a batch that will never run.
+    pub(crate) fn close_and_drain(&self) -> Vec<T> {
         let mut state = self.state.lock().expect("job queue lock");
         state.closed = true;
         let backlog = state.items.drain(..).collect();
@@ -108,14 +106,8 @@ impl<T> JobQueue<T> {
     }
 
     /// Whether [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state.lock().expect("job queue lock").closed
-    }
-}
-
-impl<T> Default for JobQueue<T> {
-    fn default() -> Self {
-        JobQueue::new()
     }
 }
 
@@ -126,16 +118,6 @@ pub struct BatchResult {
     pub probs: Matrix,
     /// How many requests shared the forward pass.
     pub batch_size: u32,
-}
-
-/// One queued predict request: the prepared program plus the channel its
-/// slice of the batched result goes back on.
-pub struct InferenceJob {
-    /// Cached program, CDFG and features.
-    pub prepared: Arc<PreparedProgram>,
-    /// Where to deliver this program's probability rows. A dropped
-    /// receiver (client gone) is ignored.
-    pub reply: mpsc::Sender<BatchResult>,
 }
 
 /// Reusable staging buffers for the batched forward pass — the
@@ -153,21 +135,6 @@ impl BatchWorkspace {
     /// A workspace with empty buffers.
     pub fn new() -> BatchWorkspace {
         BatchWorkspace::default()
-    }
-
-    /// Runs coalesced forward passes over `jobs` and delivers each job its
-    /// own probability rows over its reply channel. Returns the number of
-    /// jobs served. A thin adapter over [`BatchWorkspace::run_prepared`]
-    /// for callers that route results through channels.
-    pub fn run_batch(&mut self, model: &GraphSage, jobs: &[InferenceJob]) -> usize {
-        let prepared: Vec<Arc<PreparedProgram>> = jobs.iter().map(|j| j.prepared.clone()).collect();
-        let results = self.run_prepared(model, &prepared);
-        for (job, result) in jobs.iter().zip(results) {
-            // The client may have hung up while queued; its slot in the
-            // batch is already paid for, so just drop the result.
-            let _ = job.reply.send(result);
-        }
-        jobs.len()
     }
 
     /// Runs coalesced forward passes over `prepared` and returns one
@@ -315,24 +282,11 @@ mod tests {
             .map(|&(tag, extra)| Arc::new(PreparedProgram::build(program(tag, extra), &config)))
             .collect();
 
-        let mut receivers = Vec::new();
-        let jobs: Vec<InferenceJob> = prepared
-            .iter()
-            .map(|p| {
-                let (tx, rx) = mpsc::channel();
-                receivers.push(rx);
-                InferenceJob {
-                    prepared: p.clone(),
-                    reply: tx,
-                }
-            })
-            .collect();
-
         let mut ws = BatchWorkspace::new();
-        assert_eq!(ws.run_batch(&model, &jobs), 3);
+        let results = ws.run_prepared(&model, &prepared);
+        assert_eq!(results.len(), 3);
 
-        for (p, rx) in prepared.iter().zip(receivers) {
-            let got = rx.recv().expect("batch delivers");
+        for (p, got) in prepared.iter().zip(results) {
             assert_eq!(got.batch_size, 3);
             let serial = model.predict_proba(&p.features, p.cdfg.preds_csr());
             assert_eq!(got.probs.rows(), serial.rows());
@@ -354,14 +308,9 @@ mod tests {
         let p = Arc::new(PreparedProgram::build(program(5, 3), &config));
         let mut ws = BatchWorkspace::new();
         for round in 0..3 {
-            let (tx, rx) = mpsc::channel();
-            let jobs = vec![InferenceJob {
-                prepared: p.clone(),
-                reply: tx,
-            }];
-            ws.run_batch(&model, &jobs);
-            let got = rx.recv().expect("delivered");
-            assert_eq!(got.batch_size, 1, "round {round}");
+            let got = ws.run_prepared(&model, std::slice::from_ref(&p));
+            assert_eq!(got.len(), 1, "round {round}");
+            assert_eq!(got[0].batch_size, 1, "round {round}");
         }
         assert!(ws.feats.capacity() > 0, "staging buffer retained");
     }
@@ -396,8 +345,8 @@ mod tests {
 
     #[test]
     fn close_and_drain_discards_backlog_and_wakes_senders() {
-        let q: JobQueue<mpsc::Sender<u32>> = JobQueue::new();
-        let (tx, rx) = mpsc::channel();
+        let q: JobQueue<std::sync::mpsc::Sender<u32>> = JobQueue::new();
+        let (tx, rx) = std::sync::mpsc::channel();
         q.push(tx);
         assert!(!q.is_closed());
         let backlog = q.close_and_drain();

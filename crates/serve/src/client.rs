@@ -1,36 +1,35 @@
-//! Blocking clients for the `GLVSRV02` protocol.
+//! The blocking client for the `GLVSRV02` protocol.
 //!
-//! [`Client`] is the bare connection: one stream, synchronous
-//! request/response, first failure surfaces immediately. It works over
-//! any byte stream ([`Client::over`]), which is how the chaos layer and
-//! in-memory tests slot in beneath it.
-//!
-//! [`ResilientClient`] is the production edge: the same typed operations,
-//! but transient failures — transport errors, corrupted frames (caught by
-//! the frame checksum on either side), a server draining — are retried
-//! under a [`RetryPolicy`] with a fresh connection per attempt, giving up
-//! with [`ClientError::RetriesExhausted`] wrapping the last failure. A
-//! request is only ever *re-sent whole* on a *new* connection, so a
-//! half-written frame on a dead socket can never interleave with its
+//! One [`Client`] serves both edges. [`Client::connect`] dials eagerly and
+//! allows zero retries, so the first failure surfaces as-is — the shape
+//! tests and one-shot control calls want. [`Client::new`] dials lazily
+//! under a [`RetryPolicy`]: transient failures — transport errors,
+//! corrupted frames (caught by the frame checksum on either side), a
+//! server draining — are retried with a fresh connection per attempt,
+//! giving up with [`ClientError::RetriesExhausted`] wrapping the last
+//! failure. A request is only ever *re-sent whole* on a *new* connection,
+//! so a half-written frame on a dead socket can never interleave with its
 //! retry. The one exception is a typed [`ClientError::Busy`] admission
 //! rejection: the connection is provably healthy (the server answered in
 //! an orderly way), so the retry keeps it and waits at least the
-//! server-provided `retry_after_ms` hint.
+//! server-provided `retry_after_ms` hint. [`Client::shutdown_server`] is
+//! never retried: a lost ack after the server accepted it would make a
+//! blind re-send ambiguous.
 
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use glaive_wire::{sleep_cancellable, Backoff, ChaosPlan, RetryPolicy};
+use glaive_wire::{sleep_cancellable, Backoff, ChaosPlan, Frame, RetryPolicy};
 
 use crate::protocol::{
     read_frame, write_frame, BudgetReply, ErrorCode, PredictReply, ProgramSpec, ProtocolError,
     Request, Response, StatsReply,
 };
 
-/// Read/write deadline on a bare [`Client`] connection: a server that
-/// stops responding fails the request instead of hanging the caller.
+/// Read/write deadline on every [`Client`] connection: a server that
+/// stops responding fails the attempt instead of hanging the caller.
 const CLIENT_DEADLINE: Duration = Duration::from_secs(30);
 
 /// A client-side failure: transport/decoding problems or a server-issued
@@ -118,61 +117,176 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// A connected client over any byte stream.
-pub struct Client {
-    stream: Box<dyn ClientStream>,
+/// What a [`Client`] survived: the robustness columns the bench
+/// harnesses report next to latency. A failure that is returned to the
+/// caller was not survived and is not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ClientReport {
+    /// Transient failures retried (each one preceded a backoff wait).
+    pub retries: u64,
+    /// Retried failures that were typed `Busy` admission rejections or
+    /// `ShuttingDown` rejections (the server was saturated or draining).
+    pub busy_responses: u64,
+    /// Fresh connections dialled beyond the first.
+    pub reconnects: u64,
 }
 
-/// The stream bound a [`Client`] needs; blanket-implemented so any
-/// `Read + Write + Send` transport (a `TcpStream`, a chaos wrapper, an
-/// in-memory pipe) qualifies.
+/// A client of one server address: typed operations over a connection
+/// that is redialled on demand, retried under a [`RetryPolicy`], and
+/// optionally chaos-wrapped, with a [`ClientReport`] tallying what was
+/// survived.
+pub struct Client {
+    addr: String,
+    policy: RetryPolicy,
+    chaos: Option<ChaosPlan>,
+    stream_base: u64,
+    dials: u64,
+    stream: Option<Box<dyn ClientStream>>,
+    report: ClientReport,
+}
+
+/// The stream bound a [`Client`] needs; blanket-implemented so a
+/// `TcpStream` and its chaos wrapper both qualify.
 trait ClientStream: Read + Write + Send {}
 impl<S: Read + Write + Send> ClientStream for S {}
 
 impl Client {
-    /// Connects to a running server, with nodelay and the default
-    /// read/write deadlines applied.
+    /// Connects to a running server now, with nodelay and the default
+    /// read/write deadlines applied. The client makes no retries: the
+    /// first failure of each operation is returned unwrapped, and a
+    /// connection left suspect by a failure is redialled by the next
+    /// operation.
     ///
     /// # Errors
     ///
     /// Transport failures while connecting.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(CLIENT_DEADLINE))?;
-        stream.set_write_timeout(Some(CLIENT_DEADLINE))?;
-        Ok(Client::over(stream))
+        let no_retries = RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::default()
+        };
+        let mut client = Client::new(stream.peer_addr()?.to_string(), no_retries);
+        client.attach(stream)?;
+        Ok(client)
     }
 
-    /// A client over an already-established stream (chaos-wrapped socket,
-    /// in-memory pipe…). The caller owns the stream's deadlines.
-    pub fn over(stream: impl Read + Write + Send + 'static) -> Client {
+    /// A client for the server at `addr` that retries transient failures
+    /// under `policy`. No connection is made until the first operation.
+    pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> Client {
         Client {
-            stream: Box::new(stream),
+            addr: addr.into(),
+            policy,
+            chaos: None,
+            stream_base: 0,
+            dials: 0,
+            stream: None,
+            report: ClientReport::default(),
         }
     }
 
-    /// Sends one request and reads its reply.
-    ///
-    /// # Errors
-    ///
-    /// Transport or decode failures ([`ClientError::Protocol`]); server
-    /// rejections surface through the typed convenience methods instead.
-    pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &request.to_frame())?;
-        let payload = read_frame(&mut self.stream)?;
-        Ok(Response::from_frame(&payload)?)
+    /// Wraps every connection dialled from now on in a seeded
+    /// [`ChaosTransport`](glaive_wire::ChaosTransport): connection `n`
+    /// uses stream id `stream_base + n`, so retries draw fresh fault
+    /// schedules and concurrent clients can partition the id space.
+    #[must_use]
+    pub fn with_chaos(mut self, plan: ChaosPlan, stream_base: u64) -> Client {
+        self.chaos = Some(plan);
+        self.stream_base = stream_base;
+        self
     }
 
-    fn expect<T>(
+    /// The robustness tallies so far.
+    pub fn report(&self) -> ClientReport {
+        self.report
+    }
+
+    /// Applies the deadlines to a fresh connection and makes it current.
+    fn attach(&mut self, stream: TcpStream) -> Result<(), ClientError> {
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(CLIENT_DEADLINE))?;
+        stream.set_write_timeout(Some(CLIENT_DEADLINE))?;
+        self.stream = Some(match &self.chaos {
+            Some(plan) => Box::new(plan.wrap(stream, self.stream_base + self.dials)),
+            None => Box::new(stream),
+        });
+        self.dials += 1;
+        if self.dials > 1 {
+            self.report.reconnects += 1;
+        }
+        Ok(())
+    }
+
+    /// One exchange of `frame` on the current connection, dialling first
+    /// if there is none; server rejections become typed errors.
+    fn attempt<T>(
         &mut self,
-        request: &Request,
-        extract: impl FnOnce(Response) -> Option<T>,
+        frame: &Frame,
+        extract: &impl Fn(Response) -> Option<T>,
     ) -> Result<T, ClientError> {
-        match self.request(request)? {
+        if self.stream.is_none() {
+            self.attach(TcpStream::connect(&self.addr)?)?;
+        }
+        let stream = self.stream.as_mut().expect("connection just attached");
+        write_frame(stream, frame)?;
+        let payload = read_frame(stream)?;
+        match Response::from_frame(&payload)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),
             Response::Busy { retry_after_ms } => Err(ClientError::Busy { retry_after_ms }),
             other => extract(other).ok_or(ClientError::UnexpectedReply),
+        }
+    }
+
+    /// Encodes `request` once and sends it until it succeeds, fails
+    /// fatally, or the retry policy is spent.
+    fn call<T>(
+        &mut self,
+        request: &Request,
+        extract: impl Fn(Response) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        let frame = request.to_frame();
+        let mut backoff = Backoff::new(self.policy);
+        loop {
+            let err = match self.attempt(&frame, &extract) {
+                Ok(v) => return Ok(v),
+                Err(e) if !e.is_transient() => return Err(e),
+                Err(e) => e,
+            };
+            // An orderly Busy rejection leaves the connection healthy, so
+            // the retry keeps it and waits at least the server's hint. Any
+            // other failure leaves it suspect: the retry re-sends the
+            // whole request on a fresh one.
+            let hint = match err {
+                ClientError::Busy { retry_after_ms } => {
+                    Duration::from_millis(u64::from(retry_after_ms))
+                }
+                _ => {
+                    self.stream = None;
+                    Duration::ZERO
+                }
+            };
+            let Some(delay) = backoff.next_delay() else {
+                return Err(match backoff.attempts() {
+                    0 => err,
+                    attempts => ClientError::RetriesExhausted {
+                        attempts,
+                        last: Box::new(err),
+                    },
+                });
+            };
+            let draining = matches!(
+                err,
+                ClientError::Busy { .. }
+                    | ClientError::Server {
+                        code: ErrorCode::ShuttingDown,
+                        ..
+                    }
+            );
+            if draining {
+                self.report.busy_responses += 1;
+            }
+            self.report.retries += 1;
+            sleep_cancellable(delay.max(hint), None);
         }
     }
 
@@ -182,7 +296,8 @@ impl Client {
     ///
     /// Server rejections (unknown benchmark, bad stride, draining) as
     /// [`ClientError::Server`]; transport failures as
-    /// [`ClientError::Protocol`].
+    /// [`ClientError::Protocol`]; [`ClientError::RetriesExhausted`] once
+    /// a retrying client's policy is spent.
     pub fn predict(
         &mut self,
         spec: ProgramSpec,
@@ -190,18 +305,16 @@ impl Client {
         top_k: u32,
         want_bits: bool,
     ) -> Result<PredictReply, ClientError> {
-        self.expect(
-            &Request::Predict {
-                spec,
-                stride,
-                top_k,
-                want_bits,
-            },
-            |r| match r {
-                Response::Predict(p) => Some(p),
-                _ => None,
-            },
-        )
+        let request = Request::Predict {
+            spec,
+            stride,
+            top_k,
+            want_bits,
+        };
+        self.call(&request, |r| match r {
+            Response::Predict(p) => Some(p),
+            _ => None,
+        })
     }
 
     /// Asks the server to pick a protection set for `spec` under a cycle
@@ -218,17 +331,15 @@ impl Client {
         stride: u32,
         overhead_pct: u32,
     ) -> Result<BudgetReply, ClientError> {
-        self.expect(
-            &Request::Budget {
-                spec,
-                stride,
-                overhead_pct,
-            },
-            |r| match r {
-                Response::Budget(b) => Some(b),
-                _ => None,
-            },
-        )
+        let request = Request::Budget {
+            spec,
+            stride,
+            overhead_pct,
+        };
+        self.call(&request, |r| match r {
+            Response::Budget(b) => Some(b),
+            _ => None,
+        })
     }
 
     /// Reads the server's counters.
@@ -237,7 +348,7 @@ impl Client {
     ///
     /// As for [`Client::predict`].
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        self.expect(&Request::Stats, |r| match r {
+        self.call(&Request::Stats, |r| match r {
             Response::Stats(s) => Some(s),
             _ => None,
         })
@@ -249,211 +360,24 @@ impl Client {
     ///
     /// As for [`Client::predict`].
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.expect(&Request::Ping, |r| match r {
+        self.call(&Request::Ping, |r| match r {
             Response::Pong => Some(()),
             _ => None,
         })
     }
 
-    /// Asks the server to drain and exit. The connection is unusable
-    /// afterwards.
+    /// Asks the server to drain and exit, in exactly one attempt whatever
+    /// the retry policy. The connection is unusable afterwards.
     ///
     /// # Errors
     ///
-    /// As for [`Client::predict`].
+    /// The first failure, unwrapped: server rejections as
+    /// [`ClientError::Server`] or [`ClientError::Busy`], transport
+    /// failures as [`ClientError::Protocol`].
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.expect(&Request::Shutdown, |r| match r {
+        self.attempt(&Request::Shutdown.to_frame(), &|r| match r {
             Response::ShutdownAck => Some(()),
             _ => None,
         })
-    }
-}
-
-/// What a [`ResilientClient`] survived: the robustness columns the bench
-/// harnesses report next to latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClientReport {
-    /// Transient failures retried (each one preceded a backoff wait).
-    pub retries: u64,
-    /// Typed `Busy` admission rejections plus `ShuttingDown` rejections
-    /// among those (the server was saturated or draining).
-    pub busy_responses: u64,
-    /// Fresh connections dialled beyond the first.
-    pub reconnects: u64,
-}
-
-/// A [`Client`] wrapped in reconnect-and-retry: each operation runs under
-/// a fresh [`Backoff`], transient failures drop the connection and redial,
-/// and a [`ClientReport`] tallies what was survived.
-pub struct ResilientClient {
-    addr: String,
-    policy: RetryPolicy,
-    chaos: Option<ChaosPlan>,
-    stream_base: u64,
-    dials: u64,
-    client: Option<Client>,
-    report: ClientReport,
-}
-
-impl ResilientClient {
-    /// A resilient client for the server at `addr`. No connection is made
-    /// until the first operation.
-    pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> ResilientClient {
-        ResilientClient {
-            addr: addr.into(),
-            policy,
-            chaos: None,
-            stream_base: 0,
-            dials: 0,
-            client: None,
-            report: ClientReport::default(),
-        }
-    }
-
-    /// Wraps every connection in a seeded
-    /// [`ChaosTransport`](glaive_wire::ChaosTransport): connection `n`
-    /// uses stream id `stream_base + n`, so retries draw fresh fault
-    /// schedules and concurrent clients can partition the id space.
-    #[must_use]
-    pub fn with_chaos(mut self, plan: ChaosPlan, stream_base: u64) -> ResilientClient {
-        self.chaos = Some(plan);
-        self.stream_base = stream_base;
-        self
-    }
-
-    /// The robustness tallies so far.
-    pub fn report(&self) -> ClientReport {
-        self.report
-    }
-
-    fn ensure(&mut self) -> Result<&mut Client, ClientError> {
-        if self.client.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(CLIENT_DEADLINE))?;
-            stream.set_write_timeout(Some(CLIENT_DEADLINE))?;
-            let client = match &self.chaos {
-                Some(plan) => Client::over(plan.wrap(stream, self.stream_base + self.dials)),
-                None => Client::over(stream),
-            };
-            self.dials += 1;
-            if self.dials > 1 {
-                self.report.reconnects += 1;
-            }
-            self.client = Some(client);
-        }
-        Ok(self.client.as_mut().expect("client just ensured"))
-    }
-
-    fn with_retry<T>(
-        &mut self,
-        op: impl Fn(&mut Client) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut backoff = Backoff::new(self.policy);
-        loop {
-            let attempt = self.ensure().and_then(&op);
-            match attempt {
-                Ok(v) => return Ok(v),
-                Err(e) if !e.is_transient() => return Err(e),
-                Err(e @ ClientError::Busy { .. }) => {
-                    let ClientError::Busy { retry_after_ms } = e else {
-                        unreachable!("matched Busy");
-                    };
-                    // An orderly admission rejection: the connection is
-                    // healthy, so keep it and re-send after the server's
-                    // hint (at least — the local backoff schedule still
-                    // sets the floor and spends the attempt budget, so a
-                    // permanently saturated server exhausts retries).
-                    self.report.busy_responses += 1;
-                    self.report.retries += 1;
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            let hint = Duration::from_millis(u64::from(retry_after_ms));
-                            sleep_cancellable(delay.max(hint), None);
-                        }
-                        None => {
-                            return Err(ClientError::RetriesExhausted {
-                                attempts: backoff.attempts(),
-                                last: Box::new(e),
-                            })
-                        }
-                    }
-                }
-                Err(e) => {
-                    if matches!(
-                        &e,
-                        ClientError::Server {
-                            code: ErrorCode::ShuttingDown,
-                            ..
-                        }
-                    ) {
-                        self.report.busy_responses += 1;
-                    }
-                    // The connection is suspect after any failure — the
-                    // retry re-sends the whole request on a fresh one.
-                    self.client = None;
-                    self.report.retries += 1;
-                    match backoff.next_delay() {
-                        Some(delay) => {
-                            sleep_cancellable(delay, None);
-                        }
-                        None => {
-                            return Err(ClientError::RetriesExhausted {
-                                attempts: backoff.attempts(),
-                                last: Box::new(e),
-                            })
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Client::predict`] with retry-on-transient.
-    ///
-    /// # Errors
-    ///
-    /// Fatal rejections immediately; [`ClientError::RetriesExhausted`]
-    /// once the policy's budget is spent.
-    pub fn predict(
-        &mut self,
-        spec: &ProgramSpec,
-        stride: u32,
-        top_k: u32,
-        want_bits: bool,
-    ) -> Result<PredictReply, ClientError> {
-        self.with_retry(|c| c.predict(spec.clone(), stride, top_k, want_bits))
-    }
-
-    /// [`Client::budget`] with retry-on-transient.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ResilientClient::predict`].
-    pub fn budget(
-        &mut self,
-        spec: &ProgramSpec,
-        stride: u32,
-        overhead_pct: u32,
-    ) -> Result<BudgetReply, ClientError> {
-        self.with_retry(|c| c.budget(spec.clone(), stride, overhead_pct))
-    }
-
-    /// [`Client::stats`] with retry-on-transient.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ResilientClient::predict`].
-    pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        self.with_retry(|c| c.stats())
-    }
-
-    /// [`Client::ping`] with retry-on-transient.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ResilientClient::predict`].
-    pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.with_retry(|c| c.ping())
     }
 }

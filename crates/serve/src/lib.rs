@@ -23,9 +23,11 @@
 //!   graph-preparation worker pool and the batcher thread, with
 //!   `RunControl`-style cooperative shutdown and
 //!   [`Stage::Inference`](glaive::telemetry::Stage) telemetry.
-//! - [`client`] — a blocking client used by the CLI `query` subcommand
-//!   and the differential tests, plus a retrying [`ResilientClient`]
-//!   that honors `Busy` backoff hints.
+//! - [`client`] — the blocking [`Client`] used by the CLI `query` and
+//!   `budget` subcommands, the bench harnesses and the differential
+//!   tests: [`Client::connect`] fails fast, [`Client::new`] retries
+//!   transient failures under a `RetryPolicy` and honors `Busy` backoff
+//!   hints.
 //!
 //! # Example
 //!
@@ -51,9 +53,9 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use batch::{BatchResult, BatchWorkspace, InferenceJob, JobQueue};
+pub use batch::{BatchResult, BatchWorkspace};
 pub use cache::{program_fingerprint, GraphCache, PreparedProgram};
-pub use client::{Client, ClientError, ClientReport, ResilientClient};
+pub use client::{Client, ClientError, ClientReport};
 pub use protocol::{
     BudgetItem, BudgetReply, ErrorCode, PredictReply, ProgramSpec, ProtocolError, Request,
     Response, StatsReply, WireTuple,

@@ -11,7 +11,8 @@ use glaive_isa::{AluOp, Asm, BranchCond, Program, Reg};
 use glaive_nn::Matrix;
 use glaive_serve::protocol::{read_frame, MAGIC};
 use glaive_serve::{
-    Client, ErrorCode, ProgramSpec, ProtocolError, Request, Response, Server, ServerConfig,
+    Client, ClientError, ClientReport, ErrorCode, ProgramSpec, ProtocolError, Request, Response,
+    Server, ServerConfig,
 };
 
 const STRIDE: usize = 16;
@@ -433,13 +434,12 @@ fn read_frame_rejects_oversized_length_prefix() {
     }
 }
 
-/// A resilient client under seeded chaos — corrupted frames, short ops,
+/// A retrying client under seeded chaos — corrupted frames, short ops,
 /// delays, hard disconnects on its own connections — still receives
 /// replies bit-identical to serial inference: checksums catch every
 /// mangled frame and the retry loop re-sends on a fresh connection.
 #[test]
 fn resilient_client_under_chaos_is_bit_identical_to_serial() {
-    use glaive_serve::ResilientClient;
     use glaive_wire::{ChaosConfig, ChaosPlan, RetryPolicy};
 
     let model = model();
@@ -451,7 +451,7 @@ fn resilient_client_under_chaos_is_bit_identical_to_serial() {
     let handle = server.spawn();
 
     let plan = ChaosPlan::new(ChaosConfig::new(0x5E4E_C4A0).with_fault_ppm(3_000));
-    let mut client = ResilientClient::new(
+    let mut client = Client::new(
         addr.to_string(),
         RetryPolicy::patient(std::time::Duration::from_secs(60)),
     )
@@ -460,7 +460,7 @@ fn resilient_client_under_chaos_is_bit_identical_to_serial() {
         let which = r % programs.len();
         let reply = client
             .predict(
-                &ProgramSpec::Raw(programs[which].clone()),
+                ProgramSpec::Raw(programs[which].clone()),
                 STRIDE as u32,
                 5,
                 true,
@@ -622,38 +622,59 @@ fn saturated_server_sheds_load_with_typed_busy_replies() {
     handle.join().expect("clean exit");
 }
 
-/// `ResilientClient` treats `Busy` as transient backpressure: it keeps the
-/// connection, sleeps at least the server's hint, and retries on the SAME
-/// socket — proven by a scripted server that answers Busy twice and then
-/// Pong without ever accepting a second connection.
-#[test]
-fn resilient_client_retries_busy_on_the_same_connection() {
+/// A scripted single-connection server: accepts once, then answers each
+/// incoming frame with the next reply of `script` (checking that every
+/// request is a `want` frame). Returns the listener address and a handle
+/// yielding how many frames arrived before the client hung up.
+fn scripted_server(
+    want: Request,
+    script: Vec<Response>,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<usize>) {
     use glaive_serve::protocol::write_frame;
-    use glaive_serve::ResilientClient;
-    use glaive_wire::RetryPolicy;
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind scripted server");
     let addr = listener.local_addr().expect("addr");
-    let script = std::thread::spawn(move || {
+    let handle = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("single accept");
-        for reply in [
-            Response::Busy { retry_after_ms: 5 },
-            Response::Busy { retry_after_ms: 5 },
-            Response::Pong,
-        ] {
-            let payload = read_frame(&mut stream).expect("request arrives");
-            match Request::from_frame(&payload).expect("request decodes") {
-                Request::Ping => {}
-                other => panic!("scripted server expected Ping, got {other:?}"),
+        // The listener closes here: a redial would surface as a
+        // client-side connect error.
+        drop(listener);
+        let mut frames = 0;
+        while let Ok(payload) = read_frame(&mut stream) {
+            frames += 1;
+            let request = Request::from_frame(&payload).expect("request decodes");
+            assert_eq!(request, want, "scripted server got an unexpected request");
+            match script.get(frames - 1) {
+                Some(reply) => write_frame(&mut stream, &reply.to_frame()).expect("scripted reply"),
+                None => break,
             }
-            write_frame(&mut stream, &reply.to_frame()).expect("scripted reply");
         }
-        // A second accept would mean the client dropped the connection on
-        // Busy; the listener is closed here, so that would surface as a
-        // client-side connect error and fail the test.
+        frames
     });
+    (addr, handle)
+}
 
-    let mut client = ResilientClient::new(
+/// `Busy` is transient backpressure, and only a retrying client retries
+/// it. Each case runs against a scripted server that never accepts a
+/// second connection:
+///
+/// - `Client::new` keeps the connection, sleeps at least the server's
+///   hint and re-sends on the SAME socket (Busy, Busy, then Pong);
+/// - `Client::connect` makes no retries: the first `Busy` surfaces
+///   unwrapped, nothing is redialled or counted, and the connection
+///   still answers the next request;
+/// - `shutdown_server` is sent exactly once even under a retry policy.
+#[test]
+fn busy_is_retried_on_the_same_connection_only_by_a_retrying_client() {
+    use glaive_wire::RetryPolicy;
+
+    let busy = Response::Busy { retry_after_ms: 5 };
+
+    let (addr, script) = scripted_server(
+        Request::Ping,
+        vec![busy.clone(), busy.clone(), Response::Pong],
+    );
+    let mut client = Client::new(
         addr.to_string(),
         RetryPolicy::patient(std::time::Duration::from_secs(30)),
     );
@@ -661,7 +682,30 @@ fn resilient_client_retries_busy_on_the_same_connection() {
     let report = client.report();
     assert_eq!(report.busy_responses, 2, "both Busy replies counted");
     assert!(report.retries >= 2, "each Busy consumed a retry");
-    script.join().expect("scripted server");
+    assert_eq!(report.reconnects, 0, "Busy never costs the connection");
+    drop(client);
+    assert_eq!(script.join().expect("scripted server"), 3);
+
+    let (addr, script) = scripted_server(Request::Ping, vec![busy.clone(), Response::Pong]);
+    let mut client = Client::connect(addr).expect("connect");
+    assert_eq!(client.ping(), Err(ClientError::Busy { retry_after_ms: 5 }));
+    assert_eq!(client.report(), ClientReport::default());
+    client
+        .ping()
+        .expect("the same connection answers the next request");
+    assert_eq!(client.report(), ClientReport::default(), "no redial");
+    drop(client);
+    assert_eq!(script.join().expect("scripted server"), 2);
+
+    let (addr, script) = scripted_server(Request::Shutdown, vec![busy]);
+    let mut client = Client::new(addr.to_string(), RetryPolicy::default());
+    assert_eq!(
+        client.shutdown_server(),
+        Err(ClientError::Busy { retry_after_ms: 5 })
+    );
+    assert_eq!(client.report(), ClientReport::default());
+    drop(client);
+    assert_eq!(script.join().expect("scripted server"), 1, "one frame sent");
 }
 
 /// A peer that opens a frame and then stalls mid-payload is disconnected

@@ -27,6 +27,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# perfbench is a cargo workspace of its own, so nothing above compiles it:
+# build and test it here, or an API cut could silently break the benchmark.
+echo "==> perfbench build + tests (its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> quick-mode smoke run (fig5b_speedup)"
 GLAIVE_QUICK=1 cargo run -q --release --offline -p glaive-bench \
   --bin fig5b_speedup >/dev/null
