@@ -26,6 +26,7 @@ use std::sync::Arc;
 use glaive::experiments::Evaluation;
 use glaive::telemetry::TimingRecorder;
 use glaive::{BenchData, Error, Pipeline, PipelineConfig};
+use glaive_bench_suite::suite;
 
 /// The seed every experiment binary uses for benchmark inputs, so tables
 /// printed by different binaries refer to the same programs and campaigns.
@@ -124,7 +125,7 @@ pub fn standard_suite() -> Result<(Vec<BenchData>, PipelineConfig), Error> {
 /// renders the failure summary (if any) to stderr, then applies the
 /// configured quorum policy.
 fn prepared_suite(pipeline: &Pipeline) -> Result<Vec<BenchData>, Error> {
-    let mut report = pipeline.prepare_suite_supervised(EXPERIMENT_SEED);
+    let mut report = pipeline.prepare(suite(EXPERIMENT_SEED));
     if let Some(summary) = report.failure_summary() {
         eprint!("{summary}");
     }

@@ -56,12 +56,10 @@ use glaive_wire::ProtocolError;
 
 pub mod coordinator;
 pub mod protocol;
-pub mod source;
 pub mod worker;
 
 pub use coordinator::{Coordinator, FabricConfig};
-pub use source::DistributedTruthSource;
-pub use worker::{run_worker, run_worker_on, run_worker_with, WorkerOptions, WorkerReport};
+pub use worker::{run_worker, run_worker_with, WorkerOptions, WorkerReport};
 
 /// Typed failure of the campaign fabric. Worker misbehaviour never
 /// surfaces here — a bad completion is rejected over the wire and its
@@ -163,8 +161,8 @@ impl From<std::io::Error> for FabricError {
 /// ephemeral loopback listener, spawns `workers` in-process worker
 /// threads against it, and coordinates until the merge completes.
 ///
-/// This is the drop-in path for tests, benchmarks and the suite runner;
-/// multi-machine deployments use `glaive-cli campaign coordinate` /
+/// This is the in-process path for tests and benchmarks; multi-machine
+/// deployments use `glaive-cli campaign coordinate` /
 /// `campaign worker` over the same protocol.
 ///
 /// # Errors

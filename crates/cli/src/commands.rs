@@ -595,7 +595,7 @@ fn cmd_train(out: &str, names: &str, flags: &Flags) -> CliResult {
         benches.push(find_benchmark(name.trim(), flags.seed)?);
     }
     eprintln!("preparing {} benchmarks (FI campaigns)...", benches.len());
-    let mut report = pipeline.prepare_benchmarks_supervised(benches);
+    let mut report = pipeline.prepare(benches);
     if let Some(summary) = report.failure_summary() {
         eprint!("{summary}");
     }

@@ -188,13 +188,15 @@ pub(crate) fn assemble_bench_data(
 /// across a scoped worker pool (see [`Pipeline`](crate::Pipeline) for the
 /// cache- and telemetry-aware version).
 pub fn prepare_suite(seed: u64, config: &PipelineConfig) -> Vec<BenchData> {
-    crate::pipeline::prepare_benchmarks_parallel(
+    crate::pipeline::prepare_supervised(
         suite(seed),
         config,
         None,
         &crate::telemetry::NullObserver,
         0,
+        None,
     )
+    .into_result()
     .expect("suite preparation failed (see the error for the failing benchmark)")
 }
 

@@ -58,7 +58,6 @@ mod models;
 mod pipeline;
 pub mod stats;
 pub mod telemetry;
-mod truth_source;
 
 pub use cache::{model_key, truth_key, ArtifactCache, CacheKey};
 pub use config::{PipelineConfig, PipelineConfigBuilder, QuorumPolicy};
@@ -69,6 +68,5 @@ pub use data::{
 pub use error::Error;
 pub use models::{aggregate_bit_probs, train_models, Method, Models};
 pub use pipeline::{BenchOutcome, Pipeline, PipelineBuilder, SuiteReport};
-pub use truth_source::{campaign_error_to_pipeline, LocalTruthSource, TruthSource};
 
 pub use glaive_faultsim::{InterruptReason, TruthError, VulnTuple};

@@ -12,7 +12,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use glaive_bench_suite::{suite, Benchmark};
-use glaive_faultsim::{CampaignProgress, CheckpointSink, GroundTruth, InterruptReason, RunControl};
+use glaive_faultsim::{
+    Campaign, CampaignError, CampaignProgress, CheckpointSink, GroundTruth, InterruptReason,
+    RunControl,
+};
 
 use crate::cache::{truth_key, ArtifactCache};
 use crate::config::{PipelineConfig, QuorumPolicy};
@@ -20,7 +23,6 @@ use crate::data::{assemble_bench_data, BenchData};
 use crate::error::Error;
 use crate::experiments::Evaluation;
 use crate::telemetry::{NullObserver, Observer, Stage};
-use crate::truth_source::{LocalTruthSource, TruthSource};
 
 /// Forwards campaign injection counts to the pipeline observer and mirrors
 /// the caller's external cancellation flag into the suite-wide abort flag,
@@ -183,8 +185,8 @@ impl SuiteReport {
             .or_else(|| errors().next())
     }
 
-    /// Collapses the report into the strict all-or-nothing result of the
-    /// unsupervised API.
+    /// Collapses the report into a strict all-or-nothing result (the form
+    /// [`Pipeline::run`] uses).
     ///
     /// # Errors
     ///
@@ -199,16 +201,16 @@ impl SuiteReport {
 
 /// A configured pipeline runtime.
 ///
-/// Construct via [`Pipeline::builder`]; every entry point returns
-/// `Result<_, `[`Error`]`>` — unknown names, invalid configurations,
-/// un-splittable suites and cache-write failures come back as values
-/// instead of panics.
+/// Construct via [`Pipeline::builder`]. Failures come back as values
+/// instead of panics: invalid configurations from the builder, and
+/// per-benchmark errors, un-splittable suites and cache-write failures
+/// from [`Pipeline::prepare`]'s report, [`Pipeline::evaluation`] and
+/// [`Pipeline::run`].
 #[derive(Clone)]
 pub struct Pipeline {
     config: PipelineConfig,
     cache: Option<ArtifactCache>,
     observer: Arc<dyn Observer>,
-    truth_source: Arc<dyn TruthSource>,
     workers: usize,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -236,16 +238,6 @@ impl PipelineBuilder {
     /// a [`Fanout`](crate::telemetry::Fanout) of several).
     pub fn observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.pipeline.observer = observer;
-        self
-    }
-
-    /// Replaces how ground truth is produced on a cache miss (the default
-    /// is a local supervised campaign, [`LocalTruthSource`]). Any
-    /// conforming source — e.g. a distributed campaign fabric — is a
-    /// drop-in: sources are bit-deterministic, so the artifacts cached
-    /// under a truth key are identical whichever source computed them.
-    pub fn truth_source(mut self, source: Arc<dyn TruthSource>) -> Self {
-        self.pipeline.truth_source = source;
         self
     }
 
@@ -286,16 +278,10 @@ impl Pipeline {
                 config,
                 cache: None,
                 observer: Arc::new(NullObserver),
-                truth_source: Arc::new(LocalTruthSource),
                 workers: 0,
                 cancel: None,
             },
         }
-    }
-
-    /// A cache-less, silent pipeline over `config`.
-    pub fn new(config: PipelineConfig) -> Result<Pipeline, Error> {
-        Pipeline::builder(config).build()
     }
 
     /// The validated configuration.
@@ -303,72 +289,28 @@ impl Pipeline {
         &self.config
     }
 
-    /// Prepares one benchmark: FI campaign (or cache hit) + graph build.
+    /// Prepares `benches` in parallel, preserving order: FI campaign (or
+    /// artifact-cache hit) plus graph build per benchmark.
     ///
-    /// The campaign runs supervised — panics are caught and retried per
-    /// [`PipelineConfig::stage_retries`], deadlines and the cancellation
-    /// flag are honoured, and interrupted campaigns checkpoint into the
-    /// cache for a later resume.
+    /// Preparation is supervised: panicking stages are isolated to their
+    /// benchmark (and retried per [`PipelineConfig::stage_retries`]),
+    /// deadlines and cancellation stop outstanding work cooperatively,
+    /// interrupted campaigns checkpoint into the cache for a later
+    /// resume, and the report records every benchmark's fate so callers
+    /// can degrade gracefully via [`SuiteReport::check_quorum`] or demand
+    /// all of it via [`SuiteReport::into_result`].
     ///
-    /// # Errors
-    ///
-    /// [`Error::StageFailed`] after exhausted retries,
-    /// [`Error::Interrupted`] on cancellation or deadline, [`Error::Truth`]
-    /// for a degenerate benchmark, or [`Error::Cache`] if a freshly
-    /// computed ground truth cannot be written back. Cache *reads* never
-    /// fail — a missing or corrupt artifact is recomputed.
-    pub fn prepare_benchmark(&self, bench: Benchmark) -> Result<BenchData, Error> {
-        let abort = AtomicBool::new(false);
-        let suite_deadline = self.config.suite_deadline.map(|d| Instant::now() + d);
-        let (result, _attempts) = prepare_one_supervised(
-            bench,
-            &self.config,
-            self.cache.as_ref(),
-            self.observer.as_ref(),
-            self.truth_source.as_ref(),
-            self.config.threads,
-            self.cancel.as_deref(),
-            &abort,
-            suite_deadline,
-        );
-        result
-    }
-
-    /// Prepares the full 12-benchmark Table-II suite in parallel.
-    pub fn prepare_suite(&self, seed: u64) -> Result<Vec<BenchData>, Error> {
-        self.prepare_benchmarks(suite(seed))
-    }
-
-    /// Prepares an arbitrary benchmark list in parallel, preserving order.
-    ///
-    /// Strict all-or-nothing view over the supervised driver: any failure
-    /// is returned as this method's error. Use
-    /// [`Pipeline::prepare_benchmarks_supervised`] for per-benchmark
-    /// outcomes and partial results.
-    pub fn prepare_benchmarks(&self, benches: Vec<Benchmark>) -> Result<Vec<BenchData>, Error> {
-        self.prepare_benchmarks_supervised(benches).into_result()
-    }
-
-    /// Prepares the full suite under supervision, yielding per-benchmark
-    /// outcomes instead of failing on the first error.
-    pub fn prepare_suite_supervised(&self, seed: u64) -> SuiteReport {
-        self.prepare_benchmarks_supervised(suite(seed))
-    }
-
-    /// Prepares an arbitrary benchmark list under supervision: panicking
-    /// stages are isolated to their benchmark (and retried per
-    /// [`PipelineConfig::stage_retries`]), deadlines and cancellation stop
-    /// outstanding work cooperatively, interrupted campaigns checkpoint
-    /// into the cache, and the report records every benchmark's fate so
-    /// callers can degrade gracefully via
-    /// [`SuiteReport::check_quorum`].
-    pub fn prepare_benchmarks_supervised(&self, benches: Vec<Benchmark>) -> SuiteReport {
-        prepare_benchmarks_supervised(
+    /// A benchmark's error is [`Error::StageFailed`] after exhausted
+    /// retries, [`Error::Interrupted`] on cancellation or deadline,
+    /// [`Error::Truth`] for a degenerate benchmark, or [`Error::Cache`] if
+    /// a freshly computed ground truth cannot be written back. Cache
+    /// *reads* never fail — a missing or corrupt artifact is recomputed.
+    pub fn prepare(&self, benches: Vec<Benchmark>) -> SuiteReport {
+        prepare_supervised(
             benches,
             &self.config,
             self.cache.as_ref(),
             self.observer.as_ref(),
-            self.truth_source.as_ref(),
             self.workers,
             self.cancel.as_deref(),
         )
@@ -391,27 +333,16 @@ impl Pipeline {
         )
     }
 
-    /// The whole pipeline: parallel suite preparation, then training and
-    /// evaluation.
-    pub fn run(&self, seed: u64) -> Result<Evaluation, Error> {
-        let suite = self.prepare_suite(seed)?;
-        self.evaluation(suite)
-    }
-
-    /// The whole pipeline under supervision: supervised suite preparation,
-    /// the configured quorum check, then training and evaluation over
-    /// whatever survived. Returns the evaluation together with the
-    /// preparation report (whose failure summary the caller can render).
+    /// The whole pipeline: parallel preparation of the full 12-benchmark
+    /// Table-II suite, then training and evaluation.
     ///
     /// # Errors
     ///
-    /// The quorum violation ([`SuiteReport::check_quorum`]) or any training
-    /// error.
-    pub fn run_supervised(&self, seed: u64) -> Result<(Evaluation, SuiteReport), Error> {
-        let mut report = self.prepare_suite_supervised(seed);
-        report.check_quorum(self.config.quorum)?;
-        let eval = self.evaluation(report.take_prepared())?;
-        Ok((eval, report))
+    /// The first preparation failure ([`SuiteReport::into_result`]) or
+    /// any [`Pipeline::evaluation`] error.
+    pub fn run(&self, seed: u64) -> Result<Evaluation, Error> {
+        let suite = self.prepare(suite(seed)).into_result()?;
+        self.evaluation(suite)
     }
 }
 
@@ -442,7 +373,6 @@ fn prepare_one_supervised(
     config: &PipelineConfig,
     cache: Option<&ArtifactCache>,
     observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
     campaign_threads: usize,
     external_cancel: Option<&AtomicBool>,
     abort: &AtomicBool,
@@ -459,7 +389,6 @@ fn prepare_one_supervised(
                 config,
                 cache,
                 observer,
-                truth_source,
                 campaign_threads,
                 external_cancel,
                 abort,
@@ -497,7 +426,6 @@ fn prepare_one_attempt(
     config: &PipelineConfig,
     cache: Option<&ArtifactCache>,
     observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
     campaign_threads: usize,
     external_cancel: Option<&AtomicBool>,
     abort: &AtomicBool,
@@ -533,7 +461,9 @@ fn prepare_one_attempt(
                 checkpoint: sink.as_ref().map(|s| s as &dyn CheckpointSink),
                 checkpoint_interval: config.checkpoint_interval,
             };
-            let truth = truth_source.ground_truth(&bench, campaign_config, &ctrl)?;
+            let truth = Campaign::try_new(bench.program(), &bench.init_mem, campaign_config)
+                .and_then(|campaign| campaign.run_supervised(&ctrl))
+                .map_err(|e| campaign_error(name, e))?;
             // A degenerate campaign (no observations at all) cannot back
             // any vulnerability statistic — fail this benchmark's
             // preparation rather than panicking at aggregation time.
@@ -584,6 +514,30 @@ fn load_cached_truth(
     truth
 }
 
+/// Maps a campaign failure into the pipeline error vocabulary, keyed by
+/// the benchmark it hit: an interruption stays resumable, anything else
+/// fails the campaign stage.
+fn campaign_error(subject: &str, e: CampaignError) -> Error {
+    match e {
+        CampaignError::Interrupted {
+            reason,
+            completed,
+            total,
+            ..
+        } => Error::Interrupted {
+            subject: subject.to_string(),
+            reason,
+            completed,
+            total,
+        },
+        other => Error::StageFailed {
+            stage: Stage::Campaign,
+            subject: subject.to_string(),
+            message: other.to_string(),
+        },
+    }
+}
+
 /// The number of workers a pool should actually use.
 pub(crate) fn resolve_workers(requested: usize, jobs: usize) -> usize {
     let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -591,41 +545,18 @@ pub(crate) fn resolve_workers(requested: usize, jobs: usize) -> usize {
     n.clamp(1, jobs.max(1))
 }
 
-/// Strict all-or-nothing wrapper over the supervised driver, for the
-/// cache-less [`crate::data::prepare_suite`] and
-/// [`Pipeline::prepare_benchmarks`].
-pub(crate) fn prepare_benchmarks_parallel(
-    benches: Vec<Benchmark>,
-    config: &PipelineConfig,
-    cache: Option<&ArtifactCache>,
-    observer: &dyn Observer,
-    workers: usize,
-) -> Result<Vec<BenchData>, Error> {
-    prepare_benchmarks_supervised(
-        benches,
-        config,
-        cache,
-        observer,
-        &LocalTruthSource,
-        workers,
-        None,
-    )
-    .into_result()
-}
-
-/// Supervised parallel driver behind [`Pipeline::prepare_benchmarks_supervised`]:
+/// Supervised parallel driver behind [`Pipeline::prepare`] and the
+/// cache-less [`crate::data::prepare_suite`]:
 /// a scoped worker pool pulls benchmarks off an atomic queue, each worker
 /// running its campaign with a share of the machine's cores so concurrent
 /// campaigns don't oversubscribe it. A benchmark failure is isolated to
 /// its queue slot; under [`QuorumPolicy::FailFast`] it also raises the
 /// suite-wide abort flag so outstanding work stops cooperatively.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn prepare_benchmarks_supervised(
+pub(crate) fn prepare_supervised(
     benches: Vec<Benchmark>,
     config: &PipelineConfig,
     cache: Option<&ArtifactCache>,
     observer: &dyn Observer,
-    truth_source: &dyn TruthSource,
     workers: usize,
     external_cancel: Option<&AtomicBool>,
 ) -> SuiteReport {
@@ -687,7 +618,6 @@ pub(crate) fn prepare_benchmarks_supervised(
                             config,
                             cache,
                             observer,
-                            truth_source,
                             campaign_threads,
                             external_cancel,
                             &abort,
@@ -748,6 +678,14 @@ mod tests {
         ArtifactCache::new(dir)
     }
 
+    /// Builds `builder` and prepares dijkstra alone through
+    /// [`Pipeline::prepare`].
+    fn prepare_dijkstra(builder: PipelineBuilder) -> Result<BenchData, Error> {
+        let pipeline = builder.build().expect("valid");
+        let mut prepared = pipeline.prepare(vec![dijkstra::build(1)]).into_result()?;
+        Ok(prepared.remove(0))
+    }
+
     #[test]
     fn resolve_workers_clamps_to_jobs() {
         assert_eq!(resolve_workers(8, 3), 3);
@@ -772,7 +710,8 @@ mod tests {
         let serial = crate::data::prepare_benchmark(dijkstra::build(1), &config);
         let pipeline = Pipeline::builder(config).workers(2).build().expect("valid");
         let parallel = pipeline
-            .prepare_benchmarks(vec![dijkstra::build(1), sobel::build(1)])
+            .prepare(vec![dijkstra::build(1), sobel::build(1)])
+            .into_result()
             .expect("no cache writes");
         assert_eq!(parallel.len(), 2);
         assert_eq!(parallel[0].bench.name, "dijkstra");
@@ -788,21 +727,21 @@ mod tests {
         let cache = temp_cache("truth-hit");
 
         let rec1 = Arc::new(TimingRecorder::new());
-        let p1 = Pipeline::builder(config)
-            .cache(cache.clone())
-            .observer(rec1.clone())
-            .build()
-            .expect("valid");
-        let first = p1.prepare_benchmark(dijkstra::build(1)).expect("prepare");
+        let first = prepare_dijkstra(
+            Pipeline::builder(config)
+                .cache(cache.clone())
+                .observer(rec1.clone()),
+        )
+        .expect("prepare");
         assert_eq!(rec1.cache_counts(), (0, 1));
 
         let rec2 = Arc::new(TimingRecorder::new());
-        let p2 = Pipeline::builder(config)
-            .cache(cache)
-            .observer(rec2.clone())
-            .build()
-            .expect("valid");
-        let second = p2.prepare_benchmark(dijkstra::build(1)).expect("prepare");
+        let second = prepare_dijkstra(
+            Pipeline::builder(config)
+                .cache(cache)
+                .observer(rec2.clone()),
+        )
+        .expect("prepare");
         assert_eq!(rec2.cache_counts(), (1, 0));
         // No campaign stage ran on the hit path.
         assert!(rec2.timings().iter().all(|t| t.stage != Stage::Campaign));
@@ -816,12 +755,7 @@ mod tests {
     fn changing_campaign_parameters_invalidates_the_cache() {
         let config = PipelineConfig::quick_test();
         let cache = temp_cache("invalidate");
-        Pipeline::builder(config)
-            .cache(cache.clone())
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
-            .expect("prepare");
+        prepare_dijkstra(Pipeline::builder(config).cache(cache.clone())).expect("prepare");
 
         for altered in [
             {
@@ -836,13 +770,12 @@ mod tests {
             },
         ] {
             let rec = Arc::new(TimingRecorder::new());
-            Pipeline::builder(altered)
-                .cache(cache.clone())
-                .observer(rec.clone())
-                .build()
-                .expect("valid")
-                .prepare_benchmark(dijkstra::build(1))
-                .expect("prepare");
+            prepare_dijkstra(
+                Pipeline::builder(altered)
+                    .cache(cache.clone())
+                    .observer(rec.clone()),
+            )
+            .expect("prepare");
             assert_eq!(rec.cache_counts(), (0, 1), "altered config must miss");
         }
     }
@@ -861,8 +794,7 @@ mod tests {
             .workers(2)
             .build()
             .expect("valid");
-        let report =
-            pipeline.prepare_benchmarks_supervised(vec![dijkstra::build(1), sobel::build(1)]);
+        let report = pipeline.prepare(vec![dijkstra::build(1), sobel::build(1)]);
 
         assert!(!report.is_complete());
         assert_eq!(report.prepared().len(), 1);
@@ -907,7 +839,7 @@ mod tests {
             .observer(Arc::new(Fanout(vec![panicker, recorder.clone()])))
             .build()
             .expect("valid");
-        let report = pipeline.prepare_benchmarks_supervised(vec![dijkstra::build(1)]);
+        let report = pipeline.prepare(vec![dijkstra::build(1)]);
 
         assert!(report.is_complete(), "{:?}", report.failure_summary());
         assert_eq!(report.outcomes()[0].attempts, 2);
@@ -921,8 +853,7 @@ mod tests {
         let mut config = PipelineConfig::quick_test();
         config.suite_deadline = Some(Duration::ZERO);
         let pipeline = Pipeline::builder(config).build().expect("valid");
-        let report =
-            pipeline.prepare_benchmarks_supervised(vec![dijkstra::build(1), sobel::build(1)]);
+        let report = pipeline.prepare(vec![dijkstra::build(1), sobel::build(1)]);
         assert_eq!(report.prepared().len(), 0);
         for outcome in report.outcomes() {
             assert!(
@@ -966,17 +897,15 @@ mod tests {
         let key = truth_key(&dijkstra::build(1), &config.campaign());
 
         let cancel = Arc::new(AtomicBool::new(false));
-        let pipeline = Pipeline::builder(config)
-            .cache(cache.clone())
-            .observer(Arc::new(CancelOnProgress {
-                flag: cancel.clone(),
-            }))
-            .cancel_flag(cancel)
-            .build()
-            .expect("valid");
-        let err = pipeline
-            .prepare_benchmark(dijkstra::build(1))
-            .expect_err("cancelled mid-campaign");
+        let err = prepare_dijkstra(
+            Pipeline::builder(config)
+                .cache(cache.clone())
+                .observer(Arc::new(CancelOnProgress {
+                    flag: cancel.clone(),
+                }))
+                .cancel_flag(cancel),
+        )
+        .expect_err("cancelled mid-campaign");
         assert!(
             matches!(
                 err,
@@ -994,11 +923,7 @@ mod tests {
 
         // A fresh pipeline over the same cache resumes from the checkpoint,
         // completes, and reproduces the uninterrupted truth byte-for-byte.
-        let resumed = Pipeline::builder(config)
-            .cache(cache.clone())
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
+        let resumed = prepare_dijkstra(Pipeline::builder(config).cache(cache.clone()))
             .expect("resume completes");
         assert_eq!(resumed.truth.to_bytes(), reference.truth.to_bytes());
         assert_eq!(resumed.labels, reference.labels);
@@ -1039,16 +964,15 @@ mod tests {
         let cache = temp_cache("train-threads");
         let key = truth_key(&dijkstra::build(1), &threaded_cfg.campaign());
         let cancel = Arc::new(AtomicBool::new(false));
-        let err = Pipeline::builder(threaded_cfg)
-            .cache(cache.clone())
-            .observer(Arc::new(CancelOnProgress {
-                flag: cancel.clone(),
-            }))
-            .cancel_flag(cancel)
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
-            .expect_err("cancelled mid-campaign");
+        let err = prepare_dijkstra(
+            Pipeline::builder(threaded_cfg)
+                .cache(cache.clone())
+                .observer(Arc::new(CancelOnProgress {
+                    flag: cancel.clone(),
+                }))
+                .cancel_flag(cancel),
+        )
+        .expect_err("cancelled mid-campaign");
         assert!(matches!(err, Error::Interrupted { .. }), "{err}");
         let checkpoint = cache
             .checkpoint_sink(key)
@@ -1056,11 +980,7 @@ mod tests {
             .expect("interruption leaves a checkpoint behind");
 
         // ...that a 1-threaded pipeline resumes to the same truth bytes.
-        let resumed = Pipeline::builder(serial_cfg)
-            .cache(cache.clone())
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
+        let resumed = prepare_dijkstra(Pipeline::builder(serial_cfg).cache(cache.clone()))
             .expect("resume completes");
         assert_eq!(resumed.truth.to_bytes(), prepared[0].truth.to_bytes());
         assert!(!checkpoint.is_empty(), "checkpoint bytes were persisted");
@@ -1082,12 +1002,8 @@ mod tests {
     fn corrupt_cache_artifacts_fall_back_to_recompute() {
         let config = PipelineConfig::quick_test();
         let cache = temp_cache("corrupt");
-        let pristine = Pipeline::builder(config)
-            .cache(cache.clone())
-            .build()
-            .expect("valid")
-            .prepare_benchmark(dijkstra::build(1))
-            .expect("prepare");
+        let pristine =
+            prepare_dijkstra(Pipeline::builder(config).cache(cache.clone())).expect("prepare");
 
         let entry = std::fs::read_dir(cache.dir())
             .expect("cache dir")
@@ -1109,13 +1025,12 @@ mod tests {
         }] {
             std::fs::write(&entry, &mutation).expect("write mutation");
             let rec = Arc::new(TimingRecorder::new());
-            let again = Pipeline::builder(config)
-                .cache(cache.clone())
-                .observer(rec.clone())
-                .build()
-                .expect("valid")
-                .prepare_benchmark(dijkstra::build(1))
-                .expect("prepare");
+            let again = prepare_dijkstra(
+                Pipeline::builder(config)
+                    .cache(cache.clone())
+                    .observer(rec.clone()),
+            )
+            .expect("prepare");
             assert_eq!(rec.cache_counts(), (0, 1), "corrupt artifact must miss");
             assert_eq!(again.truth.records(), pristine.truth.records());
         }

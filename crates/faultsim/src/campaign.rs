@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use glaive_isa::{GlaiveIsa, Isa, Program};
 use glaive_sim::{
-    classify, run, run_with_fault, ExecConfig, ExitStatus, FaultSpec, OperandSlot, Simulator,
+    classify, run_with_fault, ExecConfig, ExitStatus, FaultSpec, OperandSlot, Simulator,
 };
 
 use crate::checkpoint::{CampaignCheckpoint, CheckpointSink};
@@ -344,16 +344,8 @@ impl<'p, I: Isa> Campaign<'p, I> {
     /// truth is undefined for a program that fails without faults. Use
     /// [`Campaign::run_supervised`] to get failures as values.
     pub fn run(&self) -> GroundTruth {
-        self.run_observed(&NoProgress)
-    }
-
-    /// Like [`Campaign::run`], reporting batch completions to `progress`.
-    pub fn run_observed(&self, progress: &dyn CampaignProgress) -> GroundTruth {
-        let ctrl = RunControl {
-            progress,
-            ..RunControl::new()
-        };
-        self.run_supervised(&ctrl).unwrap_or_else(|e| panic!("{e}"))
+        self.run_supervised(&RunControl::new())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A fingerprint binding a checkpoint to this exact campaign: program
@@ -399,13 +391,15 @@ impl<'p, I: Isa> Campaign<'p, I> {
     pub fn plan(&self) -> Result<CampaignPlan, CampaignError> {
         let name = self.program.name().to_string();
         let golden_cfg = ExecConfig::default();
-        if let Err(e) = Simulator::try_new(self.program, self.init_mem, &golden_cfg) {
-            return Err(CampaignError::InvalidBenchmark {
-                program: name,
-                message: e.to_string(),
-            });
-        }
-        let golden = run(self.program, self.init_mem, &golden_cfg);
+        let golden = match Simulator::try_new(self.program, self.init_mem, &golden_cfg) {
+            Ok(mut sim) => sim.run(),
+            Err(e) => {
+                return Err(CampaignError::InvalidBenchmark {
+                    program: name,
+                    message: e.to_string(),
+                })
+            }
+        };
         if !golden.status.is_clean() {
             return Err(CampaignError::DirtyGolden {
                 program: name,
@@ -691,7 +685,7 @@ impl<'p, I: Isa> Campaign<'p, I> {
 mod tests {
     use super::*;
     use glaive_isa::{AluOp, Asm, BranchCond, Reg};
-    use glaive_sim::Outcome;
+    use glaive_sim::{run, Outcome};
 
     fn sum_program() -> Program {
         let mut asm = Asm::new("sum");

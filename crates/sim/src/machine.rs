@@ -305,7 +305,7 @@ impl<'p, I: Isa> Simulator<'p, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{classify, run, run_with_fault, try_run, Outcome};
+    use crate::{classify, run, run_with_fault, Outcome};
     use glaive_isa::rv::{RvAsm, RvBranchCond};
     use glaive_isa::{AluOp, Asm, BranchCond, CvtOp};
 
@@ -432,8 +432,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("exceeds program memory"));
-        // The fallible free-function entry point reports the same error.
-        assert_eq!(try_run(&p, &[1, 2], &cfg()), Err(err));
     }
 
     #[test]
@@ -639,7 +637,9 @@ mod tests {
         let p = sum_program();
         let golden = run(&p, &[], &cfg());
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let observed = crate::try_run_observed(&p, &[], &cfg(), &mut log).expect("well-formed");
+        let observed = Simulator::try_new(&p, &[], &cfg())
+            .expect("well-formed")
+            .run_observed(&mut log);
         // Observation is invisible to the architectural result…
         assert_eq!(observed, golden);
         // …and complete: every dynamic instruction of a clean run retires.
@@ -657,7 +657,9 @@ mod tests {
         asm.halt();
         let p = asm.finish().expect("resolves");
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let r = crate::try_run_observed(&p, &[], &cfg(), &mut log).expect("well-formed");
+        let r = Simulator::try_new(&p, &[], &cfg())
+            .expect("well-formed")
+            .run_observed(&mut log);
         assert!(matches!(r.status, ExitStatus::Trapped(_)));
         // The li retires; the trapping load is counted but never observed.
         assert_eq!(r.dyn_instrs, 2);
@@ -675,8 +677,9 @@ mod tests {
         };
         let plain = run_with_fault(&p, &[], &cfg(), &f);
         let mut log = RetireLog { n: 0, pcs: vec![] };
-        let observed =
-            crate::try_run_with_fault_observed(&p, &[], &cfg(), &f, &mut log).expect("well-formed");
+        let mut sim = Simulator::try_new(&p, &[], &cfg()).expect("well-formed");
+        sim.arm_fault(f);
+        let observed = sim.run_observed(&mut log);
         assert_eq!(observed, plain);
         assert_eq!(log.n, plain.dyn_instrs);
     }

@@ -1,7 +1,7 @@
 use std::marker::PhantomData;
 
 use glaive_isa::{Isa, Program};
-use glaive_sim::{ExecConfig, MachineError, RunResult, StepObserver};
+use glaive_sim::{ExecConfig, MachineError, RunResult, Simulator, StepObserver};
 
 use crate::cost::CycleModel;
 
@@ -177,7 +177,7 @@ pub fn try_profile<I: Isa, M: CycleModel>(
     model: M,
 ) -> Result<(RunResult, TimingProfile), MachineError> {
     let mut observer = TimingObserver::new(model, program);
-    let result = glaive_sim::try_run_observed(program, init_mem, cfg, &mut observer)?;
+    let result = Simulator::try_new(program, init_mem, cfg)?.run_observed(&mut observer);
     Ok((result, observer.finish()))
 }
 

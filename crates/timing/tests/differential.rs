@@ -12,7 +12,7 @@
 use glaive_bench_suite::{rv_suite, suite};
 use glaive_faultsim::{BitSite, Campaign, CampaignConfig, GroundTruth, InjectionRecord};
 use glaive_isa::{Isa, Program};
-use glaive_sim::{classify, try_run_with_fault_observed, ExecConfig};
+use glaive_sim::{classify, ExecConfig, Simulator};
 use glaive_timing::{try_profile, InOrderCost, TimingObserver, TimingProfile};
 
 /// Campaign parameters kept small enough for a tier-1 test: every
@@ -64,9 +64,9 @@ fn run_both<I: Isa>(
             }
         }
         let mut observer = TimingObserver::new(InOrderCost::default(), program);
-        let faulty =
-            try_run_with_fault_observed(program, init_mem, &plan.fault_cfg, spec, &mut observer)
-                .expect("well-formed");
+        let mut sim = Simulator::try_new(program, init_mem, &plan.fault_cfg).expect("well-formed");
+        sim.arm_fault(*spec);
+        let faulty = sim.run_observed(&mut observer);
         records.push(InjectionRecord {
             site: BitSite {
                 pc: spec.pc,

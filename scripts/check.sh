@@ -27,6 +27,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+# The root package has no default-members, so the step above tests only
+# the root crate; this one runs every workspace crate's unit and
+# integration tests (fabric serial-vs-distributed identity among them).
+echo "==> cargo test --workspace --release -q --offline"
+cargo test --workspace --release -q --offline
+
 # perfbench is a cargo workspace of its own, so nothing above compiles it:
 # build and test it here, or an API cut could silently break the benchmark.
 echo "==> perfbench build + tests (its own workspace)"
